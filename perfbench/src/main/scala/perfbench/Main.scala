@@ -54,12 +54,13 @@ final case class Pass(id: Int, lake: Int, traced: Boolean, runs: Vector[VariantR
   * lake, every variant on a fresh state space and a fresh
   * `SurrogateValuator`, the way `Runner.modisReports` does. The seed yields
   * a workload's few lakes, since a single lake's search work varies with its
-  * seed; a round runs one pass on each. After one untimed warm-up pass,
-  * rounds run back to back (a closed loop with one caller) until `--seconds`
-  * have passed, and metrics are medians over the timed passes. With
-  * `--trace 1`, rounds alternate between traced (space and valuator wrapped
-  * in span-recording decorators) and untraced, and the run reports
-  * per-layer metrics instead of end-to-end ones.
+  * seed; passes go round-robin over them. After untimed warm-up passes for
+  * a third of `--seconds` (and one per lake where the search runs Spark
+  * queries), passes run back to back (a closed loop with one
+  * caller) until `--seconds` have passed, and metrics are medians over the
+  * timed passes. With `--trace 1`, passes alternate between traced (space
+  * and valuator wrapped in span-recording decorators) and untraced, and the
+  * run reports per-layer metrics instead of end-to-end ones.
   *
   * Usage: Main --workload <name> [--seed <n>] [--seconds <s>] [--trace 0|1]
   * The last stdout line is the JSON result; the exit code is 1 when an
@@ -149,24 +150,41 @@ final class Run(spark: SparkSession, w: Workload, seed: Long, seconds: Double,
         throw new IllegalStateException(s"${w.name}: full dataset unusable"))
     }
 
-    log("warm-up pass")
-    val warmup = pass(0, 0, traced = false, setups.head, originals.head)
+    // Passes go round-robin over the lakes. The first third of --seconds is
+    // an untimed warm-up, so that the JIT has settled. Spark generates code
+    // for each distinct query, and a lake's states make their own queries,
+    // so on a Spark-backed workload every lake also gets one warm-up pass.
+    // Timed passes then follow until --seconds have passed, at least one per
+    // lake. A traced run takes at least two passes per lake and traces every
+    // other pass, flipping the parity after each lap over the lakes, so that
+    // every lake has traced and untraced passes.
+    def since(t: Long) = (System.nanoTime() - t) / 1e9
+    val warmups = mutable.ArrayBuffer.empty[Pass]
+    val w0 = System.nanoTime()
+    val minWarmups = if (setups.head.universal.isDefined) setups.size else 1
+    while (warmups.size < minWarmups || since(w0) < seconds / 3) {
+      val lake = warmups.size % setups.size
+      val p = pass(warmups.size + 1, lake, traced = false, setups(lake), originals(lake))
+      warmups += p
+      log(f"warm-up pass ${p.id} lake $lake: search ${p.searchSeconds}%.3f s")
+    }
     val passes = mutable.ArrayBuffer.empty[Pass]
     val replaySeconds = mutable.Map.empty[Int, Double]
+    val minPasses = setups.size * (if (trace) 2 else 1)
     val t0 = System.nanoTime()
-    var round = 0
-    while (round < (if (trace) 2 else 1) || (System.nanoTime() - t0) / 1e9 < seconds) {
-      round += 1
-      for (lake <- setups.indices) {
-        val p = pass(passes.size + 1, lake, traced = trace && round % 2 == 1, setups(lake), originals(lake))
-        if (p.traced) replaySeconds(p.id) = replayCollects(p.id, setups(lake))
-        passes += p
-        log(f"round $round lake $lake${if (p.traced) " (traced)" else ""}: search ${p.searchSeconds}%.3f s")
-      }
+    while (passes.size < minPasses || since(t0) < seconds) {
+      val id = warmups.size + passes.size + 1
+      val lake = (id - 1) % setups.size
+      val lap = passes.size / setups.size
+      val traced = trace && (passes.size % setups.size + lap) % 2 == 0
+      val p = pass(id, lake, traced, setups(lake), originals(lake))
+      if (p.traced) replaySeconds(p.id) = replayCollects(p.id, setups(lake))
+      passes += p
+      log(f"pass $id lake $lake${if (p.traced) " (traced)" else ""}: search ${p.searchSeconds}%.3f s")
     }
     ListenerBusDrain(sc)
 
-    val all = warmup +: passes.toVector
+    val all = warmups.toVector ++ passes
     val attempted = all.map(_.runs.size).sum
     val failed = all.map(_.failed).sum
     val metrics: Vector[(String, Double, String)] =
@@ -195,7 +213,8 @@ final class Run(spark: SparkSession, w: Workload, seed: Long, seconds: Double,
 
     for ((k, v, u) <- metrics) println(f"${w.name}%-14s $k%-28s $v%14.6f $u")
     println(s"${w.name} seed=$seed: medians of ${passes.count(!_.traced)} untraced and " +
-      s"${passes.count(_.traced)} traced passes, $round rounds over ${w.lakes} lakes; " +
+      s"${passes.count(_.traced)} traced passes over ${w.lakes} lakes " +
+      s"after ${warmups.size} warm-up passes; " +
       s"variant runs attempted=$attempted failed=$failed")
     println(s"${w.name} original ${w.primary} per lake: ${originals.map(o => f"$o%.4f").mkString(", ")}")
     problems.distinct.foreach(p => println(s"CHECK FAILED: $p"))
