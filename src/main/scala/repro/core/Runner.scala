@@ -91,13 +91,23 @@ object Runner {
       val t0 = System.nanoTime()
       val result = run(space, valuator, cfg)
       val secs = (System.nanoTime() - t0) / 1e9
-      val best = result.bestBy(primaryIdx).getOrElse(
-        throw new IllegalStateException(s"$name produced an empty skyline"))
-      val exact = valuator.exact(best._1).getOrElse(
-        // estimated winner unusable in reality: fall back to any valuated entry
-        result.skyline.iterator.flatMap(e => valuator.exact(e._1)).next())
+      val exact = usableWinner(name, result, valuator, primaryIdx)
       MethodReport(name, exact.raw, exact.rows, exact.cols, secs)
     }
+  }
+
+  /** Exact evaluation of a run's winner by measure `primaryIdx`; when the
+    * (possibly estimated) winner is unusable in reality, that of the first
+    * usable skyline entry.
+    */
+  private[core] def usableWinner(name: String, result: ModisResult, valuator: Valuator,
+                                 primaryIdx: Int): EvalResult = {
+    val best = result.bestBy(primaryIdx).getOrElse(
+      throw new IllegalStateException(s"$name produced an empty skyline"))
+    valuator.exact(best._1)
+      .orElse(result.skyline.iterator.flatMap(e => valuator.exact(e._1)).nextOption())
+      .getOrElse(throw new IllegalStateException(
+        s"$name: none of its ${result.skyline.size} skyline entries is usable"))
   }
 
   /** Table 5: MODis methods on the T5 graph task (plus the full graph as

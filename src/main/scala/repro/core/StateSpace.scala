@@ -88,13 +88,17 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
     frontier
   }
 
-  // Memoized across valuators: several MODis variants revisit the same
-  // states in a comparison run; model fits are deterministic so caching is
-  // sound.
+  // Memoized across valuators that share this space. The model fits are
+  // deterministic, but the "train" measure is wall-clock time, so a refit
+  // would give a different vector: the memo pins each state's first
+  // measurement for the space's lifetime.
   private val memo = scala.collection.mutable.HashMap.empty[State, Option[EvalResult]]
 
   override def evaluate(s: State): Option[EvalResult] =
-    memo.getOrElseUpdate(s, task.evaluate(universal.materialize(s)))
+    memo.getOrElseUpdate(s, {
+      val (ids, data) = universal.gather(s)
+      task.evaluate(ids, data)
+    })
 
   override def rowCountEstimate(s: State): Long = universal.rowCount(s)
 }

@@ -49,33 +49,30 @@ final class TabularTask(
           "mae" -> r.raw.getOrElse("mae", 1.0)))
   }
 
-  /** Evaluate a materialized dataset; None when it is too small to train or
-    * (classification) misses a class in the train split.
+  /** Evaluate a materialized dataset: collect it into the arrays the
+    * overload below evaluates.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
     val featCols = df.columns.filterNot(c => c == lake.key || c == lake.target).toVector
-    if (featCols.isEmpty) return None
     // Sort by key so training-row order (and thus every model fit) is
     // independent of Spark partitioning — evaluation must be a pure
     // function of the dataset.
     val rows = df.select((lake.key +: lake.target +: featCols).map(col): _*)
       .collect().sortBy(_.getLong(0))
-    if (rows.length < MinRows) return None
+    val x = rows.map(r => Array.tabulate(featCols.length)(j => Frame.toDouble(r.get(j + 2))))
+    evaluate(rows.map(_.getLong(0)), Frame(featCols, x, rows.map(r => Frame.toDouble(r.get(1)))))
+  }
 
-    val n = rows.length
-    val ids = new Array[Long](n)
-    val y = new Array[Double](n)
-    val x = new Array[Array[Double]](n)
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      ids(i) = r.getLong(0)
-      y(i) = r.getDouble(1)
-      x(i) = Array.tabulate(featCols.length) { j =>
-        if (r.isNullAt(j + 2)) Double.NaN else anyToDouble(r.get(j + 2))
-      }
-      i += 1
-    }
+  /** Evaluate a dataset given as rows sorted by key (`ids`) with their
+    * features and target (`data`, NaN = missing); None when it is too small
+    * to train or (classification) misses a class in the train split.
+    */
+  def evaluate(ids: Array[Long], data: Frame): Option[EvalResult] = {
+    val featCols = data.names
+    if (featCols.isEmpty || data.nRows < MinRows) return None
+    val n = data.nRows
+    val x = data.x
+    val y = data.y
     val testMask = ids.map(_ % 5 == 0)
     val trIdx = (0 until n).filterNot(testMask(_)).toArray
     val teIdx = (0 until n).filter(testMask(_)).toArray
@@ -126,7 +123,7 @@ final class TabularTask(
       raw += "r2" -> Metrics.r2(yte, scores)
       raw += "acc" -> Metrics.regressionAccuracy(yte, scores)
     }
-    val allX = Frame(featCols, x, y).imputed(fill).x
+    val allX = data.imputed(fill).x
     val yBin = if (lake.classification) y else Metrics.binarizeAtMedian(y)
     raw += "fsc" -> Metrics.fisherScore(allX, yBin)
     raw += "mi" -> Metrics.mutualInformation(allX, yBin)
@@ -150,14 +147,6 @@ final class TabularTask(
 
 object TabularTask {
   val MinRows = 40
-
-  private def anyToDouble(a: Any): Double = a match {
-    case d: Double => d
-    case l: Long   => l.toDouble
-    case i: Int    => i.toDouble
-    case f: Float  => f.toDouble
-    case other     => other.toString.toDouble
-  }
 
   /** The paper's task → (model, measure set) assignment (Tables 3–6). */
   def forLake(lake: TabularLake): TabularTask = lake.name match {

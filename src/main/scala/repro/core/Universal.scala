@@ -3,7 +3,26 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.lake.TabularLake
+import repro.ml.Frame
 import repro.util.KMeans1D
+
+/** D_U collected once to the driver, rows sorted by key. Every exact
+  * valuation gathers its dataset from these arrays, so the search's control
+  * loop runs no Spark job (the paper's loop is likewise one driver over an
+  * in-memory table).
+  */
+final class ColumnarView(
+    val keys: Array[Long],
+    val target: Array[Double],
+    /** one column per attribute, in `layout.attrs` order; null → NaN */
+    val attrs: Array[Array[Double]],
+    /** per segment attribute (in `layout.segAttrs` order), each row's cluster
+      * id as read from its hidden `__cl_<attr>` column
+      */
+    val clusterIds: Array[Array[Int]],
+) {
+  def nRows: Int = keys.length
+}
 
 /** The universal table D_U (Section 5.1 "Reduce-from-Universal"): the
   * multi-way join of all sources over the shared key, with per-segment-
@@ -18,15 +37,16 @@ final case class UniversalTable(
     layout: BitLayout,
     clusterings: Map[String, KMeans1D.Clustering],
     /** row counts per (cluster-id per segment attr, in layout.segAttrs order) —
-      * a driver-side contingency table giving any state's row count for free
-      * (used by BiMODis' correlation-based pruning).
+      * the cluster sizes `BackSt` starts from.
       */
     segCounts: Map[Vector[Int], Long],
+    view: ColumnarView,
 ) {
   def hiddenCol(segAttr: String): String = s"__cl_$segAttr"
 
   /** Materialize a state's dataset: key + target + kept attributes, rows
     * restricted to unmasked segment clusters. Hidden columns are dropped.
+    * The relational reference for [[gather]].
     */
   def materialize(s: State): DataFrame = {
     val attrs = layout.attrsOf(s)
@@ -44,12 +64,33 @@ final case class UniversalTable(
       else acc && col(hiddenCol(seg)).isin(allowed.toSeq: _*)
     }
 
-  /** Exact row count of a state's dataset, from the contingency table. */
-  def rowCount(s: State): Long = {
-    val segs = layout.segAttrs
-    segCounts.iterator.collect {
-      case (combo, c) if segs.indices.forall(i => layout.clustersOf(s, segs(i)).contains(combo(i))) => c
-    }.sum
+  /** [[rowPredicate]] over the view: whether each row of [[view]] is kept. */
+  def rowMask(s: State): Array[Boolean] = {
+    val allowed = layout.segAttrs.map { seg =>
+      val ok = new Array[Boolean](clusterings(seg).k)
+      layout.clustersOf(s, seg).foreach(ok(_) = true)
+      ok
+    }.toArray
+    Array.tabulate(view.nRows) { i =>
+      var j = 0
+      while (j < allowed.length && allowed(j)(view.clusterIds(j)(i))) j += 1
+      j == allowed.length
+    }
+  }
+
+  /** Exact row count of a state's dataset. */
+  def rowCount(s: State): Long = rowMask(s).count(identity).toLong
+
+  /** A state's dataset from the view: the keys, and a frame of the kept
+    * attributes (layout order) labelled by the target. Equals
+    * `materialize(s)` collected and sorted by key.
+    */
+  def gather(s: State): (Array[Long], Frame) = {
+    val mask = rowMask(s)
+    val rows = mask.indices.filter(mask).toArray
+    val cols = layout.attrs.indices.filter(s(_)).map(view.attrs).toArray
+    val x = rows.map(i => cols.map(_(i)))
+    (rows.map(view.keys), Frame(layout.attrsOf(s), x, rows.map(view.target)))
   }
 }
 
@@ -79,21 +120,27 @@ object Universal {
       df = df.withColumn(s"__cl_$a", expr.cast("int"))
     }
     val cached = df.cache()
-    cached.count() // force
 
     val attrs = (lake.base.df.columns ++ lake.aux.flatMap(_.df.columns))
       .distinct.filterNot(c => c == lake.key || c == lake.target).toVector
     val clusterBits = segAttrs.flatMap(a => (0 until clusterings(a).k).map(c => (a, c)))
     val layout = BitLayout(attrs, clusterBits)
 
-    val countRows = cached
-      .groupBy(segAttrs.map(a => col(s"__cl_$a")): _*)
-      .count()
-      .collect()
-    val segCounts = countRows.map { r =>
-      (segAttrs.indices.map(i => r.getInt(i)).toVector, r.getLong(segAttrs.size))
-    }.toMap
+    // The one collect of D_U; it also fills the cache. The Row array is
+    // dropped once the columns are built.
+    val rows = cached
+      .select((lake.key +: lake.target +: attrs ++: segAttrs.map(a => s"__cl_$a")).map(col): _*)
+      .collect().sortBy(_.getLong(0))
+    val firstCl = attrs.size + 2
+    val view = new ColumnarView(
+      keys = rows.map(_.getLong(0)),
+      target = rows.map(r => Frame.toDouble(r.get(1))),
+      attrs = Array.tabulate(attrs.size)(j => rows.map(r => Frame.toDouble(r.get(j + 2)))),
+      clusterIds = Array.tabulate(segAttrs.size)(j => rows.map(_.getInt(firstCl + j))))
 
-    UniversalTable(cached, lake.key, lake.target, layout, clusterings, segCounts)
+    val segCounts = (0 until view.nRows)
+      .groupMapReduce(i => view.clusterIds.map(_(i)).toVector)(_ => 1L)(_ + _)
+
+    UniversalTable(cached, lake.key, lake.target, layout, clusterings, segCounts, view)
   }
 }

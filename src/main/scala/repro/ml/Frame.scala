@@ -80,7 +80,11 @@ object Frame {
     Frame(cols.toVector, x, y)
   }
 
-  private def toDouble(a: Any): Double = a match {
+  /** The one Row-cell → Double conversion at every collect boundary (D_U,
+    * evaluated DataFrames, baseline frames): null and non-numeric strings
+    * become NaN; any other non-numeric cell is rejected.
+    */
+  def toDouble(a: Any): Double = a match {
     case null                 => Double.NaN
     case d: Double            => d
     case f: Float             => f.toDouble

@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.lake.DataLake
+import repro.lake.{DataLake, TabularLake}
+import scala.util.Random
 
 class TabularSpaceSpec extends SparkSpec {
 
@@ -89,5 +90,73 @@ class TabularSpaceSpec extends SparkSpec {
 
   test("measures come from the task") {
     assert(space.measures.map(_.name) == task.measureNames)
+  }
+
+  /** The full state, every segment attribute's cluster k−1 (the one a null
+    * segment value falls into) masked, and random admissible reducts.
+    */
+  private def sampleStates(space: TabularSpace, n: Int): Seq[State] = {
+    val u = space.universal
+    val nullClusters = u.layout.segAttrs.foldLeft(space.full) { (s, seg) =>
+      s.clear(u.layout.clusterIdx(seg, u.clusterings(seg).k - 1))
+    }
+    val rng = new Random(11)
+    val reducts = Seq.fill(n) {
+      (1 to 1 + rng.nextInt(6)).foldLeft(space.full) { (s, _) =>
+        val kids = space.neighborsReduct(s)
+        if (kids.isEmpty) s else kids(rng.nextInt(kids.size))
+      }
+    }
+    space.full +: nullClusters +: reducts
+  }
+
+  private def bits(v: Double) = java.lang.Double.doubleToLongBits(v)
+
+  for ((name, mk) <- Seq[(String, () => TabularLake)](
+         "movie" -> (() => DataLake.movie(spark, sf = 0.01)),
+         "house" -> (() => DataLake.house(spark, sf = 0.01)))) {
+    lazy val lake = mk()
+    lazy val u = Universal.build(lake)
+    lazy val task = TabularTask.forLake(lake).calibrated(u.materialize(State.full(u.layout.width)))
+    lazy val space = new TabularSpace(u, task)
+    lazy val states = sampleStates(space, 8)
+
+    test(s"$name: gather equals materialize collected and sorted by key") {
+      var nulls = 0
+      for (s <- states) {
+        val df = u.materialize(s)
+        val rows = df.collect().sortBy(_.getLong(0))
+        val (ids, data) = u.gather(s)
+        assert(df.columns.toSeq == (u.key +: u.target +: data.names), s"$s")
+        assert(ids.toSeq == rows.map(_.getLong(0)).toSeq, s"$s")
+        assert(u.rowCount(s) == rows.length, s"$s")
+        assert(data.y.map(bits).toSeq == rows.map(r => bits(r.getDouble(1))).toSeq, s"$s")
+        for ((r, i) <- rows.zipWithIndex; j <- data.names.indices) {
+          val expected = if (r.isNullAt(j + 2)) { nulls += 1; Double.NaN } else r.getDouble(j + 2)
+          assert(bits(data.x(i)(j)) == bits(expected), s"$s row ${ids(i)} ${data.names(j)}")
+        }
+      }
+      assert(nulls > 0, "no null cell was compared")
+    }
+
+    test(s"$name: TabularSpace.evaluate equals evaluating the materialized dataset") {
+      // "train" is wall-clock fit time, the one measure that differs by run
+      val trainIdx = task.measureNames.indexOf("train")
+      var usable = 0
+      for (s <- states) {
+        val got = space.evaluate(s)
+        val want = task.evaluate(u.materialize(s))
+        assert(got.isDefined == want.isDefined, s"$s")
+        for (g <- got; w <- want) {
+          usable += 1
+          assert(g.rows == w.rows && g.cols == w.cols, s"$s")
+          assert((g.raw - "train").view.mapValues(bits).toMap ==
+            (w.raw - "train").view.mapValues(bits).toMap, s"$s")
+          assert(g.norm.indices.filter(_ != trainIdx).map(i => bits(g.norm(i))) ==
+            w.norm.indices.filter(_ != trainIdx).map(i => bits(w.norm(i))), s"$s")
+        }
+      }
+      assert(usable > 0, "no usable state was compared")
+    }
   }
 }
