@@ -12,7 +12,6 @@ object ModelKind {
   case object RF extends ModelKind       // T2 "RFhouse"
   case object GBM extends ModelKind      // T1 "GBmovie", T4 "LGCmental" stand-in
   case object Ridge extends ModelKind    // T3 "LRavocado" (regression)
-  case object LogReg extends ModelKind   // classification linear baseline
 }
 
 /** Evaluates a materialized dataset for one tabular task: trains the task's
@@ -102,8 +101,6 @@ final class TabularTask(
         } else { val m = new GBMRegressor(nTrees = 30, maxDepth = 4).fit(xtr, ytr); m.predict _ }
       case ModelKind.Ridge =>
         val m = new RidgeRegression().fit(xtr, ytr); m.predict _
-      case ModelKind.LogReg =>
-        val m = new LogisticRegressionModel().fit(xtr, ytr); m.predictProba _
     }
     val trainSec = (System.nanoTime() - t0) / 1e9
 

@@ -50,16 +50,7 @@ final class GBMRegressor(
   def predictAll(x: Array[Array[Double]]): Array[Double] = x.map(predict)
 
   /** Normalized feature importances (sum to 1 unless all-zero). */
-  def importances: Array[Double] = {
-    val acc = new Array[Double](nFeatures)
-    trees.foreach { t =>
-      val im = t.importances
-      var j = 0
-      while (j < acc.length) { acc(j) += im(j); j += 1 }
-    }
-    val s = acc.sum
-    if (s <= 0) acc else acc.map(_ / s)
-  }
+  def importances: Array[Double] = RegressionTree.normalizedImportances(trees, nFeatures)
 }
 
 /** Binary GBM classifier with logistic loss and Newton leaf steps folded
@@ -109,14 +100,5 @@ final class GBMClassifier(
 
   def predictProbaAll(x: Array[Array[Double]]): Array[Double] = x.map(predictProba)
 
-  def importances: Array[Double] = {
-    val acc = new Array[Double](nFeatures)
-    trees.foreach { t =>
-      val im = t.importances
-      var j = 0
-      while (j < acc.length) { acc(j) += im(j); j += 1 }
-    }
-    val s = acc.sum
-    if (s <= 0) acc else acc.map(_ / s)
-  }
+  def importances: Array[Double] = RegressionTree.normalizedImportances(trees, nFeatures)
 }

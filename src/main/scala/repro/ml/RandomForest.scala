@@ -1,10 +1,16 @@
 package repro.ml
 
+import java.util.stream.IntStream
 import scala.util.Random
 
 /** Bagged CART forest — the "RFhouse" model of Task T2 and the case-study
   * classifier. Classification averages per-tree 0/1 regressions into a
   * probability; regression averages leaf means.
+  *
+  * Trees are grown concurrently on the ForkJoin common pool. Tree `t` draws
+  * its bootstrap sample and per-node features from its own RNG, seeded by
+  * the `t`-th draw of `new Random(seed)`, so the forest is a pure function of
+  * (data, seed) whatever the scheduling.
   */
 final class RandomForest(
     val nTrees: Int = 30,
@@ -13,19 +19,23 @@ final class RandomForest(
     val seed: Long = 13,
     val classification: Boolean = true,
 ) {
-  private var trees: Vector[RegressionTree] = Vector.empty
+  private var trees: Array[RegressionTree] = Array.empty
 
   def fit(x: Array[Array[Double]], y: Array[Double]): this.type = {
     require(x.nonEmpty, "RandomForest: empty input")
     if (classification)
       require(y.forall(v => v == 0.0 || v == 1.0), "RandomForest: labels must be 0/1")
-    val rng = new Random(seed)
+    val seedRng = new Random(seed)
+    val seeds = Array.fill(nTrees)(seedRng.nextLong())
     val nFeat = x(0).length
     val mtry = math.max(1, math.round(math.sqrt(nFeat.toDouble)).toInt)
-    trees = Vector.tabulate(nTrees) { _ =>
+    val grown = new Array[RegressionTree](nTrees)
+    IntStream.range(0, nTrees).parallel().forEach { t =>
+      val rng = new Random(seeds(t))
       val sample = Array.fill(x.length)(rng.nextInt(x.length)) // bootstrap
-      new RegressionTree(maxDepth, minLeaf, featuresPerSplit = mtry).fit(x, y, rng, sample)
+      grown(t) = new RegressionTree(maxDepth, minLeaf, featuresPerSplit = mtry).fit(x, y, rng, sample)
     }
+    trees = grown
     this
   }
 
@@ -41,13 +51,6 @@ final class RandomForest(
 
   def importances: Array[Double] = {
     require(trees.nonEmpty, "forest not fitted")
-    val acc = new Array[Double](trees.head.importances.length)
-    trees.foreach { t =>
-      val im = t.importances
-      var j = 0
-      while (j < acc.length) { acc(j) += im(j); j += 1 }
-    }
-    val s = acc.sum
-    if (s <= 0) acc else acc.map(_ / s)
+    RegressionTree.normalizedImportances(trees, trees.head.importances.length)
   }
 }

@@ -111,6 +111,20 @@ final class RegressionTree(
 
 object RegressionTree {
 
+  /** Per-feature importance summed over an ensemble's trees, normalized to
+    * sum to 1 (left as is when all zero).
+    */
+  private[ml] def normalizedImportances(trees: Iterable[RegressionTree], nFeatures: Int): Array[Double] = {
+    val acc = new Array[Double](nFeatures)
+    trees.foreach { t =>
+      val im = t.importances
+      var j = 0
+      while (j < acc.length) { acc(j) += im(j); j += 1 }
+    }
+    val s = acc.sum
+    if (s <= 0) acc else acc.map(_ / s)
+  }
+
   /** Allocation-free-ish index sort: pack (sortable float bits, index) into
     * longs and primitive-sort. Float rounding only perturbs ordering among
     * near-equal keys, which cannot invalidate a split.
@@ -120,7 +134,9 @@ object RegressionTree {
     var i = 0
     while (i < idx.length) {
       val bitsRaw = java.lang.Float.floatToIntBits(keyOf(idx(i)).toFloat)
-      val bits = if (bitsRaw < 0) ~bitsRaw else bitsRaw ^ 0x80000000
+      // signed-order key: flipping a negative float's magnitude bits makes
+      // Arrays.sort's signed comparison match float order across both signs
+      val bits = if (bitsRaw < 0) bitsRaw ^ 0x7fffffff else bitsRaw
       packed(i) = (bits.toLong << 32) | (idx(i).toLong & 0xffffffffL)
       i += 1
     }

@@ -1,5 +1,6 @@
 package repro.ml
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -49,6 +50,17 @@ class RandomForestSpec extends AnyFunSuite {
     val a = new RandomForest(nTrees = 10, seed = 2).fit(x, y).predictScoreAll(x).toSeq
     val b = new RandomForest(nTrees = 10, seed = 3).fit(x, y).predictScoreAll(x).toSeq
     assert(a != b)
+  }
+
+  test("the forest does not depend on how its trees are scheduled") {
+    val (x, y) = classData(300, 9)
+    def fitted() = new RandomForest(nTrees = 12, seed = 4).fit(x, y)
+    val onOneThread: Callable[RandomForest] = () => fitted()
+    val pool = new ForkJoinPool(1)
+    val single = try pool.submit(onOneThread).get() finally pool.shutdown()
+    val common = fitted()
+    assert(single.predictScoreAll(x).toSeq == common.predictScoreAll(x).toSeq)
+    assert(single.importances.toSeq == common.importances.toSeq)
   }
 
   test("importances highlight the informative features") {

@@ -99,4 +99,20 @@ class RegressionTreeSpec extends AnyFunSuite {
       .fit(x, y, new Random(3))
     assert(Metrics.mse(y, t.predictAll(x)) < 25.0)
   }
+
+  test("sortIdxBy orders mixed-sign keys ascending") {
+    val keys = Array(1.0, -0.5, 0.0, 2.0, -2.0, 0.5, -1.0)
+    val sorted = RegressionTree.sortIdxBy(keys.indices.toArray, keys(_))
+    assert(sorted.map(keys).toSeq == keys.sorted.toSeq)
+  }
+
+  test("a stump recovers the threshold of a step on mixed-sign data") {
+    val rng = new Random(11)
+    val x = Array.fill(400)(Array(rng.nextDouble() * 4 - 2))
+    for (c <- Seq(-1.0, -0.5, 0.5, 1.0)) {
+      val y = x.map(xi => if (xi(0) > c) 1.0 else 0.0)
+      val t = new RegressionTree(maxDepth = 1, minLeaf = 5).fit(x, y)
+      assert(Metrics.mse(y, t.predictAll(x)) == 0.0, s"c = $c")
+    }
+  }
 }
